@@ -1,7 +1,8 @@
 package thinunison_test
 
-// One benchmark per evaluation artifact of the paper (see the experiment
-// index in DESIGN.md). Each benchmark regenerates its artifact once per
+// One benchmark per evaluation artifact of the paper (the experiments T1, F1,
+// F2 and E1–E9 that the README's "Package map" lists under
+// internal/experiments). Each benchmark regenerates its artifact once per
 // iteration and reports the domain metric (rounds to stabilization) via
 // b.ReportMetric alongside the usual ns/op:
 //

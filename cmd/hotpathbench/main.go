@@ -51,14 +51,16 @@ type speedup struct {
 
 // shardPoint is one point of the shard-scaling series: a sharded scenario at
 // worker count P, with its speedup over the P=1 run of the same scenario.
-// The series is meaningful on multi-core hardware (see num_cpu): on a single
-// core it degenerates to an overhead measurement of the fan-out machinery.
+// A point with P above num_cpu is not run and is written as unmeasured, with
+// neither a time nor a speedup: its workers would share cores, so it would
+// measure the fan-out machinery's overhead, not scaling.
 type shardPoint struct {
 	Scenario    string  `json:"scenario"`
 	N           int     `json:"n"`
 	P           int     `json:"p"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	SpeedupVsP1 float64 `json:"speedup_vs_p1"`
+	Unmeasured  bool    `json:"unmeasured,omitempty"`
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	SpeedupVsP1 float64 `json:"speedup_vs_p1,omitempty"`
 }
 
 // frontierPoint is one dense/frontier pair of the frontier series: the same
@@ -216,11 +218,17 @@ func main() {
 
 	// Shard-scaling series: the same scenario at P ∈ {1, 2, 4, 8} shards,
 	// P=1 as the baseline. Sharded runs are byte-identical at every P, so
-	// the curve isolates wall-time scaling. -big extends the steady-step
-	// series to a 10^6-node instance.
+	// the curve isolates wall-time scaling; points with P > num_cpu stay
+	// unmeasured. -big extends the steady-step series to a 10^6-node
+	// instance.
 	shardSeries := func(scenario string, n, iters int, fn func(p int) func(b *testing.B)) {
 		var base float64
 		for _, p := range []int{1, 2, 4, 8} {
+			if p > a.NumCPU {
+				a.ShardScaling = append(a.ShardScaling, shardPoint{Scenario: scenario, N: n, P: p, Unmeasured: true})
+				fmt.Fprintf(os.Stderr, "%-40s unmeasured: p exceeds num_cpu=%d\n", hotpath.ShardName(scenario, n, p), a.NumCPU)
+				continue
+			}
 			e := measure(hotpath.ShardName(scenario, n, p), n, iters, fn(p))
 			if p == 1 {
 				base = e.NsPerOp

@@ -282,7 +282,7 @@ func run() error {
 		fmt.Printf("wrote %d per-round samples to %s\n", len(rec.Samples()), *csvPath)
 	}
 	if *stats {
-		snap, err := json.Marshal(mx.Snapshot())
+		snap, err := json.Marshal(eng.Metrics().Snapshot())
 		if err != nil {
 			return err
 		}

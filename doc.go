@@ -19,7 +19,8 @@
 //   - the failed reset-based AU attempt of Appendix A together with its
 //     Figure 2 live-lock, for comparison;
 //   - a full experiment harness regenerating every table and figure of the
-//     paper (see DESIGN.md and EXPERIMENTS.md);
+//     paper (internal/experiments, printed by cmd/experiments; see the
+//     README's "Campaigns" and "Package map" sections);
 //   - a parallel scenario-campaign subsystem (internal/campaign, driven by
 //     cmd/campaign) sweeping graph family × size × diameter bound ×
 //     scheduler × fault model × algorithm on a worker pool with

@@ -35,9 +35,11 @@ type Engine[S comparable] struct {
 	changed  []int // nodes whose state changed in the last step
 	faultBuf []int // reusable permutation buffer for InjectFaults
 
-	// mx is always non-nil (allocated at New; replaceable via Instrument)
-	// so metric updates are unconditional. tracer is attached via Trace.
+	// mx is always non-nil (allocated at New; replaceable via Instrument);
+	// the per-step counters reach it through tally, published in batches
+	// (see publish). tracer is attached via Trace.
 	mx       *obs.Metrics
+	tally    obs.Tally
 	tracer   *obs.Tracer
 	coin     *randx.Counting // rng draw counter; nil if unavailable
 	seed     int64           // construction seed, retained for checkpointing
@@ -85,8 +87,23 @@ func New[S comparable](g *graph.Graph, step syncsim.StepFunc[S], initial []S, s 
 // redirects where the counters land.
 func (e *Engine[S]) Instrument(mx *obs.Metrics) { e.mx = mx }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *Engine[S]) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the pending counters and returns the engine's metric set
+// (never nil). The set is exact after RunUntil, RunRounds, InjectFaults and
+// SaveState; mid-run it lags by less than obs.PublishEvery steps plus
+// activations.
+func (e *Engine[S]) Metrics() *obs.Metrics {
+	e.publish()
+	return e.mx
+}
+
+// publish drains the rng draw counter into the pending tally and folds the
+// tally into the metric set.
+func (e *Engine[S]) publish() {
+	if e.coin != nil {
+		e.tally.CoinDraws += e.coin.Take()
+	}
+	e.tally.Publish(e.mx, e.tracker.Rounds(), -1)
+}
 
 // Trace attaches a sampled step tracer / flight recorder; nil detaches.
 // Sink errors are sticky and reported by TraceErr.
@@ -121,16 +138,8 @@ func (e *Engine[S]) Step() {
 	}
 	e.tracker.Observe(activated)
 	e.stepNum++
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.tracker.Rounds()))
-	m.Activated.Add(uint64(len(activated)))
-	m.Evaluated.Add(uint64(len(activated)))
-	m.Changes.Add(uint64(len(e.changed)))
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			m.CoinDraws.Add(n)
-		}
+	if e.tally.Add(len(activated), len(activated), len(e.changed)) {
+		e.publish()
 	}
 	if e.tracer != nil {
 		err := e.tracer.Observe(obs.Sample{
@@ -225,17 +234,14 @@ func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int
 		e.states[v] = random(e.rng)
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
-	}
+	e.publish()
 	return hit
 }
 
 // RunUntil runs until cond holds or maxRounds elapse; reports rounds
 // consumed and whether cond held.
 func (e *Engine[S]) RunUntil(cond func(e *Engine[S]) bool, maxRounds int) (int, bool) {
+	defer e.publish()
 	start := e.tracker.Rounds()
 	if cond(e) {
 		return 0, true
@@ -253,6 +259,7 @@ func (e *Engine[S]) RunUntil(cond func(e *Engine[S]) bool, maxRounds int) (int, 
 // RunRounds executes steps until the given number of additional rounds have
 // completed.
 func (e *Engine[S]) RunRounds(rounds int) {
+	defer e.publish()
 	target := e.tracker.Rounds() + rounds
 	for e.tracker.Rounds() < target {
 		e.Step()

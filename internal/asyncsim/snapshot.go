@@ -33,11 +33,13 @@ type RestoreOptions[S comparable] struct {
 
 // SaveState writes a restorable checkpoint of the engine to w, plus any
 // caller-provided extra sections. Call it between steps, on the goroutine
-// driving the engine.
+// driving the engine. The pending counters are published first, so the
+// checkpointed metric words are exact.
 func (e *Engine[S]) SaveState(w io.Writer, encode syncsim.StateEncoder[S], extras ...snapshot.Section) error {
 	if e.coin == nil {
 		return fmt.Errorf("asyncsim: engine rng source is not checkpointable")
 	}
+	e.publish()
 	var enc snapshot.Enc
 	n := e.g.N()
 	enc.Int(n)

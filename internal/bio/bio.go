@@ -9,7 +9,8 @@
 // tolerance story is about: arbitrary corruption of cell states at arbitrary
 // times (self-stabilization recovers), and topology perturbations within the
 // D-bounded-diameter family (the graph class the algorithms are designed
-// for). See DESIGN.md for the substitution note.
+// for). The README's "Topology churn" section describes the churn machinery
+// this substrate drives.
 package bio
 
 import (

@@ -149,10 +149,16 @@ func (a *AU) MustState(t Turn) sa.State {
 	return q
 }
 
-// Turn decodes a dense state back into a turn.
+// Turn decodes a dense state back into a turn. An able turn's state is its
+// level's φ-cycle index in [0, 2k), so it decodes with one compare instead of
+// the reducing modulos of Levels.FromIndex.
 func (a *AU) Turn(q sa.State) Turn {
-	if q < 2*a.ls.k {
-		return Turn{Level: a.ls.FromIndex(q)}
+	k := a.ls.k
+	if q < k {
+		return Turn{Level: Level(q - k)}
+	}
+	if q < 2*k {
+		return Turn{Level: Level(q - k + 1)}
 	}
 	return Turn{Level: a.faultyFromIndex(q - 2*a.ls.k), Faulty: true}
 }

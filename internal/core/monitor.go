@@ -107,6 +107,13 @@ func (m *Monitor) Check(cfg sa.Config) error {
 	return nil
 }
 
+// Cached verdicts of a GoodMonitor (its verdict field).
+const (
+	verdictUnknown uint32 = iota // nothing known: Good() polls
+	verdictGood                  // a word-parallel engine certified the configuration good
+	verdictBad                   // the last poll answered false and nothing changed since
+)
+
 // maxWitnesses bounds the bad-node witness cache of a deferred GoodMonitor:
 // each deferred Good() check first re-tests the cached witnesses in O(Δ)
 // before falling back to a scan, and each scan refills the cache with the
@@ -138,6 +145,14 @@ const maxWitnesses = 8
 // Engine.Observe and it sees every node state change (steps, SetState,
 // InjectFaults). Good() then always agrees with au.GraphGood(g, cfg).
 //
+// A bad verdict is cached: when Good() returns false and no Apply,
+// ApplyWordBatch, RewireEdge, Reset or RestoreState happens before the next
+// call, that call returns false in O(1). Under an asynchronous scheduler most
+// steps change no node, so most polls of a bad graph take this path. Were it
+// computed, such a repeated poll would keep every witness and leave the
+// regime as the first poll left it, so the cache changes neither the witness
+// order, nor the promotion step, nor CheckpointState bytes.
+//
 // It also implements sim.ShardedObserver: its maintenance is
 // order-independent and per-node (deferred) or per-shard (incremental), so
 // on a sharded engine workers apply their shard's interior changes
@@ -161,13 +176,14 @@ type GoodMonitor struct {
 	bad     []int   // not-good node counts; one slot per shard (one total when unsharded)
 	shardOf []int32 // owner-shard table from AttachShards; nil when unsharded
 
-	// wordOK caches a word-parallel engine's per-step goodness verdict (see
-	// NoteWordStep): true asserts the current configuration is graph-good,
-	// letting Good() answer O(1) without touching counters or scanning.
-	// Every Apply / RewireEdge / Reset clears it (atomically — sharded
-	// engines deliver interior Applies concurrently); scalar engines never
-	// set it, so the flag is dead weight of one uncontended store there.
-	wordOK atomic.Bool
+	// verdict caches what is known of the current configuration without
+	// looking: verdictGood is a word-parallel engine's certified per-step
+	// verdict (see NoteWordStep), verdictBad the last poll's false answer.
+	// Either lets Good() answer O(1) without touching counters or scanning.
+	// Every Apply / ApplyWordBatch / RewireEdge / Reset resets it to
+	// verdictUnknown (atomically — sharded engines deliver interior Applies
+	// concurrently), which costs one uncontended store per change.
+	verdict atomic.Uint32
 
 	// stale marks the incremental counters out of date after a batched word
 	// apply (ApplyWordBatch): on the certified steady path the monitor takes
@@ -232,8 +248,16 @@ func NewGoodMonitor(au *AU, g *graph.Graph, cfg sa.Config) *GoodMonitor {
 // A certified verdict agrees with GraphGood by construction, so verdict
 // sequences (and hence the promotion step, a trajectory-pinned counter) are
 // identical to scalar runs.
+//
+// An uncertified step asserts nothing, so it withdraws only a certified
+// verdict: a known-bad verdict survives it, since such a step delivers every
+// change through Apply or ApplyWordBatch first.
 func (m *GoodMonitor) NoteWordStep(certified bool) {
-	m.wordOK.Store(certified)
+	if certified {
+		m.verdict.Store(verdictGood)
+	} else {
+		m.verdict.CompareAndSwap(verdictGood, verdictUnknown)
+	}
 }
 
 // ApplyWordBatch implements sim.WordBatchObserver: a word-parallel engine
@@ -247,6 +271,7 @@ func (m *GoodMonitor) NoteWordStep(certified bool) {
 // next scalar touch. Transition totals, verdicts and the promotion step stay
 // byte-identical to a scalar run feeding the same changes through Apply.
 func (m *GoodMonitor) ApplyWordBatch(changed []int, cfg sa.Config) {
+	m.verdict.Store(verdictUnknown)
 	if m.mx != nil {
 		// Faulty turns occupy the dense suffix 2k..4k−3, so the turn-shape
 		// classification of countTransition reduces to two threshold tests.
@@ -336,7 +361,7 @@ func (m *GoodMonitor) shard(v int) int {
 // refreshes its turn mirror (and drops its witnesses).
 func (m *GoodMonitor) Reset(cfg sa.Config) {
 	copy(m.raw, cfg)
-	m.wordOK.Store(false)
+	m.verdict.Store(verdictUnknown)
 	m.witnesses = m.witnesses[:0]
 	m.promote = false
 	if !m.deferred {
@@ -399,7 +424,7 @@ func (m *GoodMonitor) nodeGoodScan(v int) bool {
 // final configuration, so simultaneous updates may be fed one node at a
 // time.
 func (m *GoodMonitor) Apply(v int, q sa.State) {
-	m.wordOK.Store(false)
+	m.verdict.Store(verdictUnknown)
 	if m.deferred {
 		if m.mx != nil {
 			was, now := m.au.Turn(m.raw[v]), m.au.Turn(q)
@@ -483,7 +508,7 @@ func (m *GoodMonitor) Apply(v int, q sa.State) {
 // churn only there), so the per-shard bad slots of a sharded monitor may be
 // touched for both endpoints even when they live in different shards.
 func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
-	m.wordOK.Store(false)
+	m.verdict.Store(verdictUnknown)
 	if m.deferred {
 		return
 	}
@@ -534,9 +559,13 @@ func (m *GoodMonitor) RewireEdge(u, v int, added bool) {
 // turned good) it is O(1) (O(P) per-shard combine when sharded). In the
 // deferred regime it re-tests the cached bad witnesses in O(Δ) and only
 // scans — with early exit, refilling the witness cache — when all of them
-// have healed; the scan that finds no bad node is the promotion point.
+// have healed; the scan that finds no bad node is the promotion point. A
+// false answer is cached until the next change (see GoodMonitor).
 func (m *GoodMonitor) Good() bool {
-	if m.wordOK.Load() {
+	switch m.verdict.Load() {
+	case verdictBad:
+		return false
+	case verdictGood:
 		// The word engine certified the configuration good (NoteWordStep).
 		// A deferred monitor must still walk the exact promotion protocol of
 		// goodDeferred — first good verdict schedules the promotion, the
@@ -558,13 +587,18 @@ func (m *GoodMonitor) Good() bool {
 		return true
 	}
 	if m.deferred {
-		return m.goodDeferred()
+		if !m.goodDeferred() {
+			m.verdict.Store(verdictBad)
+			return false
+		}
+		return true
 	}
 	if m.stale {
 		m.resync()
 	}
 	for _, b := range m.bad {
 		if b != 0 {
+			m.verdict.Store(verdictBad)
 			return false
 		}
 	}
@@ -690,7 +724,9 @@ func (m *GoodMonitor) CheckpointState() []byte {
 	e.Bool(m.deferred)
 	e.Bool(m.promote)
 	e.Bool(m.stale)
-	e.Bool(m.wordOK.Load())
+	// A known-bad verdict encodes as unknown: the restored monitor recomputes
+	// it on its first poll, to the same answer and the same witnesses.
+	e.Bool(m.verdict.Load() == verdictGood)
 	e.Ints(m.witnesses)
 	return e.Bytes()
 }
@@ -716,7 +752,10 @@ func (m *GoodMonitor) RestoreState(data []byte) error {
 	m.deferred = deferred
 	m.promote = promote
 	m.witnesses = witnesses
-	m.wordOK.Store(wordOK)
+	m.verdict.Store(verdictUnknown)
+	if wordOK {
+		m.verdict.Store(verdictGood)
+	}
 	if !m.deferred {
 		m.resync()
 	}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every evaluation artifact of the paper:
 // Table 1, Figure 1, Figure 2, and the empirical validations of Theorems
-// 1.1, 1.3, 1.4, 3.1 and Corollary 1.2 (experiments T1, F1, F2, E1–E8 in
-// DESIGN.md). The cmd/experiments binary prints these tables; the root
-// bench_test.go wraps each one in a testing.B benchmark; EXPERIMENTS.md
-// records the measured numbers against the paper's bounds.
+// 1.1, 1.3, 1.4, 3.1 and Corollary 1.2 (experiments T1, F1, F2, E1–E9 and
+// V1, listed in the README's "Package map"). The cmd/experiments binary
+// prints these tables; the root bench_test.go wraps each one in a
+// testing.B benchmark; each Result's OK verdict reports whether the measured
+// numbers met the artifact's acceptance criterion.
 package experiments
 
 import (

@@ -22,8 +22,18 @@ import (
 
 // Metrics is a struct-of-atomics metric set for one engine run (or, when
 // aggregated with Add, a whole campaign). The zero value is ready to use.
-// Engines update it with unconditional atomic adds; sharded paths
-// accumulate per-shard tallies in locals and flush O(P) adds per step.
+//
+// Publication contract. Engines accumulate their per-step counters (Steps,
+// Activated, Evaluated, Changes, FrontierSkips, Settled, WordSteps,
+// BoundaryApplies, CoinDraws, and the Rounds/FrontierSize gauges) in a
+// Tally and publish it in batches. The set is exact at every run, snapshot
+// and accessor boundary: the return of a run loop (errors and budget
+// exhaustion included), a failed step, fault injection, SaveState, Close and
+// the engine's Metrics accessor. Mid-run it lags the engine by less than
+// PublishEvery steps plus activations; that is what concurrent readers —
+// the campaign watchdog, daemon metric streams, the progress meter — see.
+// Per-event counters (faults, churn, transition shapes, promotions,
+// repartitions, budget exhaustions) are added as the events happen.
 //
 // Counters fall into two classes. Trajectory counters are pure functions
 // of the executed trajectory and therefore identical across engine modes

@@ -161,15 +161,17 @@ type Engine struct {
 	wBatch WordBatchObserver   // obs, when it additionally takes batched applies
 
 	// mx is the engine's metric set — always non-nil (allocated at New when
-	// Options.Metrics is nil) so every update site is an unconditional
-	// branch-free atomic add. tracer is nil unless Options.Trace attached one.
+	// Options.Metrics is nil). The per-step counters reach it through tally,
+	// published in batches (see publish). tracer is nil unless Options.Trace
+	// attached one.
 	mx     *obs.Metrics
+	tally  obs.Tally
 	tracer *obs.Tracer
 	coin   *randx.Counting // classic-mode rng draw counter; nil if unavailable
 	seed   int64           // Options.Seed, retained for checkpointing
 
 	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
-	// step bodies and flushed into mx (and the tracer sample) once per step.
+	// step bodies and folded into tally (and the tracer sample) once per step.
 	stepAct  int
 	stepEval int
 	stepChg  int
@@ -308,6 +310,13 @@ type Options struct {
 	// for the catalog). When nil the engine allocates a private set —
 	// counters are always maintained, so instrumented and uninstrumented
 	// runs execute identical code — reachable via Engine.Metrics.
+	//
+	// Per-step counters are published in batches (obs.Tally): the set is
+	// exact after every return of RunUntil, RunRounds and RunToStabilization
+	// (errors and budget exhaustion included), a failed Step, InjectFaults,
+	// SaveState, Close and Engine.Metrics. Between those boundaries — for a
+	// caller stepping with Step, or a reader on another goroutine — it lags
+	// the engine by less than obs.PublishEvery steps plus activations.
 	Metrics *obs.Metrics
 
 	// Trace attaches a sampled step tracer / flight recorder. After every
@@ -523,9 +532,11 @@ func (fr *frontierRuntime) invalidate(g *graph.Graph, v int) {
 	}
 }
 
-// Close releases the worker goroutines of a sharded engine (Parallelism >=
-// 1). It is idempotent and a no-op for classic sequential engines.
+// Close publishes the pending counters and releases the worker goroutines of
+// a sharded engine (Parallelism >= 1). It is idempotent; a classic sequential
+// engine has no workers to release.
 func (e *Engine) Close() {
+	e.publish()
 	if e.par != nil {
 		e.par.pool.Close()
 	}
@@ -605,6 +616,9 @@ func (e *Engine) SetState(v int, q sa.State) error {
 // O(n). The returned slice is owned by the engine and valid until the next
 // call.
 func (e *Engine) InjectFaults(count int) []int {
+	// Publish before the writes, so the gauges keep their post-step values,
+	// and again after, so the burst's draws are counted on return.
+	e.publish()
 	hit := randx.PartialShuffle(&e.faultBuf, e.g.N(), count, e.rng)
 	for _, v := range hit {
 		e.cfg[v] = e.rng.Intn(e.alg.NumStates())
@@ -619,7 +633,7 @@ func (e *Engine) InjectFaults(count int) []int {
 		}
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	e.flushCoins()
+	e.publish()
 	return hit
 }
 
@@ -632,7 +646,19 @@ func (e *Engine) InjectFaults(count int) []int {
 // written back only after every activated node has read C_t, preserving the
 // paper's simultaneous-update semantics. On a sharded engine the staging
 // fans out across the worker pool; see Options.Parallelism.
+//
+// A step that fails publishes the pending counters before returning, so
+// Metrics reflects every completed step when the error is seen.
 func (e *Engine) Step() error {
+	if err := e.stepOnce(); err != nil {
+		e.publish()
+		return err
+	}
+	return nil
+}
+
+// stepOnce is the body of Step.
+func (e *Engine) stepOnce() error {
 	if failpoint.Armed() {
 		if err := e.evalFailpoints(); err != nil {
 			return err
@@ -670,7 +696,7 @@ func (e *Engine) Step() error {
 		e.wObs.NoteWordStep(e.wr.certified)
 	}
 	e.step++
-	if err := e.flushStats(); err != nil {
+	if err := e.endStep(); err != nil {
 		return err
 	}
 	for _, h := range e.hooks {
@@ -681,29 +707,17 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// flushStats folds the completed step's tallies into the metric set and, if
-// a tracer is attached, records the step sample. It runs once per step: the
-// hot path pays a handful of atomic adds plus one allocation-free ring
-// write, independent of n.
-func (e *Engine) flushStats() error {
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.tracker.Rounds()))
-	m.Activated.Add(uint64(e.stepAct))
-	m.Evaluated.Add(uint64(e.stepEval))
-	m.Changes.Add(uint64(e.stepChg))
-	if skip := e.stepAct - e.stepEval; skip > 0 {
-		m.FrontierSkips.Add(uint64(skip))
-	}
-	frLen := int64(-1)
-	if e.fr != nil {
-		frLen = int64(e.fr.set.Len())
-		m.FrontierSize.Store(uint64(frLen))
-	}
+// endStep folds the completed step's tallies into the pending tally,
+// publishing it once the pending work reaches obs.PublishEvery, and, if a
+// tracer is attached, records the step sample. The hot path pays a few plain
+// adds plus one allocation-free ring write, independent of n.
+func (e *Engine) endStep() error {
 	if e.wr != nil {
-		m.WordSteps.Add(1)
+		e.tally.WordSteps++
 	}
-	e.flushCoins()
+	if e.tally.Add(e.stepAct, e.stepEval, e.stepChg) {
+		e.publish()
+	}
 	if e.tracer != nil {
 		s := obs.Sample{
 			Step:        int64(e.step),
@@ -711,7 +725,7 @@ func (e *Engine) flushStats() error {
 			Activated:   int64(e.stepAct),
 			Evaluated:   int64(e.stepEval),
 			Changes:     int64(e.stepChg),
-			Frontier:    frLen,
+			Frontier:    int64(e.FrontierLen()),
 			Violations:  -1,
 			ClockSpread: -1,
 		}
@@ -722,25 +736,30 @@ func (e *Engine) flushStats() error {
 	return nil
 }
 
-// flushCoins drains the rng draw counters (the classic stream plus every
-// sharded worker stream) into the CoinDraws counter: O(P) per flush.
-func (e *Engine) flushCoins() {
+// publish drains the rng draw counters (the classic stream plus every
+// sharded worker stream, O(P)) into the pending tally and folds the tally
+// into the metric set. It runs between steps: at every return of the run
+// loops, around fault injection, before a snapshot, on Close and in the
+// Metrics accessor, so the set is exact wherever it is read — and mid-run
+// whenever the pending work reaches obs.PublishEvery.
+func (e *Engine) publish() {
 	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+		e.tally.CoinDraws += e.coin.Take()
 	}
 	if e.par != nil {
 		for _, c := range e.par.coins {
-			if n := c.Take(); n != 0 {
-				e.mx.CoinDraws.Add(n)
-			}
+			e.tally.CoinDraws += c.Take()
 		}
 	}
+	e.tally.Publish(e.mx, e.tracker.Rounds(), e.FrontierLen())
 }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *Engine) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the pending counters and returns the engine's metric set
+// (never nil). Options.Metrics states when the set is exact without it.
+func (e *Engine) Metrics() *obs.Metrics {
+	e.publish()
+	return e.mx
+}
 
 // Tracer returns the attached step tracer, or nil.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
@@ -826,9 +845,7 @@ func (e *Engine) stepSequentialFrontier(eval []int) {
 			settles++
 		}
 	}
-	if settles != 0 {
-		e.mx.Settled.Add(settles)
-	}
+	e.tally.Settled += settles
 	for i, v := range eval {
 		q := e.scratch[i]
 		if q == e.cfg[v] {
@@ -909,20 +926,14 @@ func (e *Engine) stepShardedFrontier(eval []int) {
 			}
 		}
 	}
-	if boundary != 0 {
-		e.mx.BoundaryApplies.Add(boundary)
-	}
+	e.tally.BoundaryApplies += boundary
 }
 
 // sumSettles folds the per-shard settle tallies written by the stage phase
-// into the Settled counter (O(P)).
+// into the pending Settled count (O(P)).
 func (e *Engine) sumSettles() {
-	var stl uint64
 	for _, n := range e.par.stl {
-		stl += n
-	}
-	if stl != 0 {
-		e.mx.Settled.Add(stl)
+		e.tally.Settled += n
 	}
 }
 
@@ -1059,9 +1070,7 @@ func (e *Engine) stepSharded(activated []int) {
 			}
 		}
 	}
-	if boundary != 0 {
-		e.mx.BoundaryApplies.Add(boundary)
-	}
+	e.tally.BoundaryApplies += boundary
 }
 
 // SignalOf computes the signal of node v under the current configuration
@@ -1130,6 +1139,7 @@ func (e *Engine) Planes() *sa.Planes {
 // RunRounds executes steps until the given number of additional rounds have
 // completed.
 func (e *Engine) RunRounds(rounds int) error {
+	defer e.publish()
 	target := e.tracker.Rounds() + rounds
 	for e.tracker.Rounds() < target {
 		if err := e.Step(); err != nil {
@@ -1143,6 +1153,7 @@ func (e *Engine) RunRounds(rounds int) error {
 // maxRounds rounds elapse, returning the number of rounds consumed. If the
 // budget is exhausted it returns ErrBudgetExhausted.
 func (e *Engine) RunUntil(cond func(e *Engine) bool, maxRounds int) (int, error) {
+	defer e.publish()
 	start := e.tracker.Rounds()
 	if cond(e) {
 		return 0, nil
@@ -1178,6 +1189,7 @@ type StabilizationResult struct {
 // progress made; the round budget never goes negative across a failed
 // confirmation.
 func (e *Engine) RunToStabilization(cond func(e *Engine) bool, confirmRounds, maxRounds int) (StabilizationResult, error) {
+	defer e.publish()
 	start := e.tracker.Rounds()
 	startSteps := e.step
 	progress := func() StabilizationResult {

@@ -59,11 +59,14 @@ type RestoreOptions struct {
 // caller-provided extra sections (e.g. a core.GoodMonitor's CheckpointState
 // under its own name). It must be called between steps, on the goroutine
 // driving the engine — the same discipline as SetState — so the staged
-// scratch is empty and every draw cursor sits at a step boundary.
+// scratch is empty and every draw cursor sits at a step boundary. The
+// pending counters are published first, so the checkpointed metric words
+// are exact.
 func (e *Engine) SaveState(w io.Writer, extras ...snapshot.Section) error {
 	if e.coin == nil {
 		return fmt.Errorf("sim: engine rng source is not checkpointable")
 	}
+	e.publish()
 	var enc snapshot.Enc
 
 	// Identity and position.
@@ -537,4 +540,3 @@ func (c *churnCheckpoint) restoreInto(cr *churnRuntime) error {
 	}
 	return nil
 }
-

@@ -305,9 +305,7 @@ func (e *Engine) stepSequentialFrontierWord(eval []int, frBefore int) {
 		}
 	}
 	scatterGood(wr.slabs[0], good, eval, 0)
-	if settles != 0 {
-		e.mx.Settled.Add(settles)
-	}
+	e.tally.Settled += settles
 	wr.certified = k == frBefore && allOnes(wr.slabs[0])
 	if wr.certified && e.wBatch != nil {
 		chg := wr.chg[:0]
@@ -503,7 +501,5 @@ func (e *Engine) stepShardedWord(list []int, frBefore int) {
 			}
 		}
 	}
-	if boundary != 0 {
-		e.mx.BoundaryApplies.Add(boundary)
-	}
+	e.tally.BoundaryApplies += boundary
 }

@@ -56,9 +56,11 @@ type Engine[S comparable] struct {
 	par *parRuntime[S]    // sharded-execution runtime; nil in classic mode
 	fr  *frontierState[S] // frontier-sparse runtime; nil in dense mode
 
-	// mx is always non-nil (allocated at New; replaceable via Instrument)
-	// so metric updates are unconditional. tracer is attached via Trace.
+	// mx is always non-nil (allocated at New; replaceable via Instrument);
+	// the per-round counters reach it through tally, published in batches
+	// (see publish). tracer is attached via Trace.
 	mx       *obs.Metrics
+	tally    obs.Tally
 	tracer   *obs.Tracer
 	coin     *randx.Counting // classic-mode rng draw counter; nil if unavailable
 	seed     int64           // construction seed, retained for checkpointing
@@ -147,8 +149,14 @@ func New[S comparable](g *graph.Graph, step StepFunc[S], initial []S, seed int64
 // redirects where the counters land, e.g. into a campaign-owned set.
 func (e *Engine[S]) Instrument(mx *obs.Metrics) { e.mx = mx }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *Engine[S]) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the pending counters and returns the engine's metric set
+// (never nil). The set is exact after RunUntil, InjectFaults, SaveState and
+// Close; mid-run it lags by less than obs.PublishEvery rounds plus
+// activations.
+func (e *Engine[S]) Metrics() *obs.Metrics {
+	e.publish()
+	return e.mx
+}
 
 // Trace attaches a sampled step tracer / flight recorder; nil detaches.
 // Sink errors are sticky and reported by TraceErr.
@@ -356,9 +364,11 @@ func (e *Engine[S]) FrontierLen() int {
 	return e.fr.set.Len()
 }
 
-// Close releases the worker goroutines of a sharded engine (NewParallel
-// with parallelism >= 1). It is idempotent and a no-op for classic engines.
+// Close publishes the pending counters and releases the worker goroutines of
+// a sharded engine (NewParallel with parallelism >= 1). It is idempotent; a
+// classic engine has no workers to release.
 func (e *Engine[S]) Close() {
+	e.publish()
 	if e.par != nil {
 		e.par.pool.Close()
 	}
@@ -394,25 +404,14 @@ func (e *Engine[S]) Round() {
 	e.flushRound(e.g.N(), e.g.N(), len(e.changed))
 }
 
-// flushRound folds one completed round's tallies into the metric set and,
-// if a tracer is attached, records the round sample (one allocation-free
-// ring write; sink errors are sticky in traceErr).
+// flushRound folds one completed round's tallies into the pending tally,
+// publishing it once the pending work reaches obs.PublishEvery, and, if a
+// tracer is attached, records the round sample (one allocation-free ring
+// write; sink errors are sticky in traceErr).
 func (e *Engine[S]) flushRound(act, eval, chg int) {
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.round))
-	m.Activated.Add(uint64(act))
-	m.Evaluated.Add(uint64(eval))
-	m.Changes.Add(uint64(chg))
-	if skip := act - eval; skip > 0 {
-		m.FrontierSkips.Add(uint64(skip))
+	if e.tally.Add(act, eval, chg) {
+		e.publish()
 	}
-	frLen := int64(-1)
-	if e.fr != nil {
-		frLen = int64(e.fr.set.Len())
-		m.FrontierSize.Store(uint64(frLen))
-	}
-	e.flushCoins()
 	if e.tracer != nil {
 		err := e.tracer.Observe(obs.Sample{
 			Step:        int64(e.round),
@@ -420,7 +419,7 @@ func (e *Engine[S]) flushRound(act, eval, chg int) {
 			Activated:   int64(act),
 			Evaluated:   int64(eval),
 			Changes:     int64(chg),
-			Frontier:    frLen,
+			Frontier:    int64(e.FrontierLen()),
 			Violations:  -1,
 			ClockSpread: -1,
 		})
@@ -430,20 +429,19 @@ func (e *Engine[S]) flushRound(act, eval, chg int) {
 	}
 }
 
-// flushCoins drains the rng draw counters into CoinDraws (O(P)).
-func (e *Engine[S]) flushCoins() {
+// publish drains the rng draw counters (O(P)) into the pending tally and
+// folds the tally into the metric set; see sim.Engine.Metrics for where
+// engines publish.
+func (e *Engine[S]) publish() {
 	if e.coin != nil {
-		if n := e.coin.Take(); n != 0 {
-			e.mx.CoinDraws.Add(n)
-		}
+		e.tally.CoinDraws += e.coin.Take()
 	}
 	if e.par != nil {
 		for _, c := range e.par.coins {
-			if n := c.Take(); n != 0 {
-				e.mx.CoinDraws.Add(n)
-			}
+			e.tally.CoinDraws += c.Take()
 		}
 	}
+	e.tally.Publish(e.mx, e.round, e.FrontierLen())
 }
 
 // roundFrontier is the frontier-sparse round body: only unsettled nodes are
@@ -470,9 +468,7 @@ func (e *Engine[S]) roundFrontier() {
 			}
 			e.changed = append(e.changed, fr.changedS[s]...)
 		}
-		if settles != 0 {
-			e.mx.Settled.Add(settles)
-		}
+		e.tally.Settled += settles
 		e.round++
 		e.flushRound(e.g.N(), int(eval), len(e.changed))
 		return
@@ -489,9 +485,7 @@ func (e *Engine[S]) roundFrontier() {
 			settles++
 		}
 	}
-	if settles != 0 {
-		e.mx.Settled.Add(settles)
-	}
+	e.tally.Settled += settles
 	e.changed = e.changed[:0]
 	for i, v := range fr.dirty {
 		if nx := fr.next[i]; nx != e.states[v] {
@@ -561,6 +555,9 @@ func (e *Engine[S]) Steps() int { return e.round }
 // buffer, so repeated bursts allocate nothing; the returned slice is owned
 // by the engine and valid until the next call.
 func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int {
+	// Publish before the writes, so the gauges keep their post-round values,
+	// and again after, so the burst's draws are counted on return.
+	e.publish()
 	hit := randx.PartialShuffle(&e.faultBuf, e.g.N(), count, e.rng)
 	for _, v := range hit {
 		e.states[v] = random(e.rng)
@@ -569,7 +566,7 @@ func (e *Engine[S]) InjectFaults(count int, random func(rng *rand.Rand) S) []int
 		}
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
-	e.flushCoins()
+	e.publish()
 	return hit
 }
 
@@ -605,6 +602,7 @@ func (e *Engine[S]) SetState(v int, s S) {
 // RunUntil runs rounds until cond holds (checked between rounds) or the
 // budget is exhausted; it reports the rounds consumed and whether cond held.
 func (e *Engine[S]) RunUntil(cond func(e *Engine[S]) bool, maxRounds int) (int, bool) {
+	defer e.publish()
 	start := e.round
 	if cond(e) {
 		return 0, true

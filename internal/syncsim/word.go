@@ -33,6 +33,7 @@ type WordEngine struct {
 	round     int
 	changed   []int
 	mx        *obs.Metrics
+	tally     obs.Tally // per-round counters pending publication into mx
 }
 
 // NewWord returns a word-parallel synchronous engine for alg, which must
@@ -76,8 +77,12 @@ func NewWord(g *graph.Graph, alg sa.Algorithm, initial sa.Config) (*WordEngine, 
 // Round).
 func (e *WordEngine) Instrument(mx *obs.Metrics) { e.mx = mx }
 
-// Metrics returns the engine's metric set (never nil).
-func (e *WordEngine) Metrics() *obs.Metrics { return e.mx }
+// Metrics publishes the pending counters and returns the engine's metric set
+// (never nil).
+func (e *WordEngine) Metrics() *obs.Metrics {
+	e.tally.Publish(e.mx, e.round, -1)
+	return e.mx
+}
 
 // Round executes one synchronous round as a single batched evaluation. The
 // steady-state loop performs no allocation.
@@ -94,13 +99,10 @@ func (e *WordEngine) Round() {
 		}
 	}
 	e.round++
-	m := e.mx
-	m.Steps.Add(1)
-	m.Rounds.Store(uint64(e.round))
-	m.Activated.Add(uint64(n))
-	m.Evaluated.Add(uint64(n))
-	m.Changes.Add(uint64(len(e.changed)))
-	m.WordSteps.Add(1)
+	e.tally.WordSteps++
+	if e.tally.Add(n, n, len(e.changed)) {
+		e.tally.Publish(e.mx, e.round, -1)
+	}
 }
 
 // AllGood reports whether every node satisfied the algorithm's local
