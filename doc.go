@@ -68,9 +68,9 @@
 //     the equivalent cmd/unisonsim flags; the steady step stays 0 allocs/op
 //     with the full stack attached (the obs series of BENCH_hotpath.json,
 //     gated by hotpathbench -obs-gate);
-//   - a word-parallel hot path (sim.Options.WordParallel, syncsim.WordEngine,
-//     campaign -word): node state lives in bit planes (sa.Planes, one
-//     uint64 plane per state, struct-of-arrays), neighborhood signals come
+//   - a word-parallel hot path (sim.Options.WordParallel, campaign -word):
+//     node state lives in bit planes (sa.Planes, one uint64 plane per
+//     state, struct-of-arrays), neighborhood signals come
 //     from a batched CSR OR-scan (sa.BuildSignals), and a precompiled
 //     transition table (core.AU.Kernel) evaluates 64 nodes' transitions and
 //     goodness per word pass with math/bits intrinsics; certified full

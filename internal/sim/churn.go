@@ -372,7 +372,7 @@ func (e *Engine) ApplyDelta(d *graph.Delta) ([]graph.EdgeChange, error) {
 		// the neighborhoods too keeps this path on the same invariant as
 		// state changes, at negligible cost.)
 		for _, v := range touched {
-			e.fr.invalidate(e.g, v)
+			e.invalidate(v)
 		}
 	}
 	if topo != nil {

@@ -50,7 +50,7 @@ func TestFrontierSettledOracle(t *testing.T) {
 		n := g.N()
 		settledOracle := make([]bool, n) // all dirty initially
 		prev := e.Config().Clone()
-		sig := e.signal.Clone()
+		sig := e.lane.sig.Clone()
 		for step := 0; step < 150; step++ {
 			if step == 75 {
 				for _, v := range e.InjectFaults(5) {

@@ -204,19 +204,95 @@ func TestShardedGoodMonitorParity(t *testing.T) {
 	}
 }
 
-// applyRecorder records observer deliveries for the ordering-contract test.
-type applyRecorder struct {
-	applies []int
+// stepLog records observer deliveries step by step: Apply appends to the
+// open step, endStep closes it.
+type stepLog struct {
+	steps   [][]int
+	current []int
 }
 
-func (r *applyRecorder) Apply(v int, q sa.State) { r.applies = append(r.applies, v) }
+func (r *stepLog) Apply(v int, q sa.State) { r.current = append(r.current, v) }
+
+func (r *stepLog) endStep() {
+	r.steps = append(r.steps, r.current)
+	r.current = nil
+}
+
+// observerCell is one execution mode of the observer-ordering tests.
+type observerCell struct {
+	par            int
+	frontier, word bool
+}
+
+func (c observerCell) String() string {
+	return fmt.Sprintf("P=%d/frontier=%v/word=%v", c.par, c.frontier, c.word)
+}
+
+// observerCells returns every frontier × word × P∈{0,1,3} cell plus dense
+// scalar cells at the extra parallelisms, so each ordered merge — the inline
+// scalar and word apply loops and the sharded merge at P=1 and P>1, dense
+// and frontier — is pinned against the P=0 dense scalar reference.
+func observerCells(extraDense ...int) []observerCell {
+	var cells []observerCell
+	for _, fr := range []bool{false, true} {
+		for _, word := range []bool{false, true} {
+			for _, p := range []int{0, 1, 3} {
+				cells = append(cells, observerCell{par: p, frontier: fr, word: word})
+			}
+		}
+	}
+	for _, p := range extraDense {
+		cells = append(cells, observerCell{par: p})
+	}
+	return cells
+}
+
+// recordDeliveries runs the script for steps steps in the given cell and
+// returns the per-step observer deliveries and the final configuration. It
+// fails the test when the cell's mode did not engage, so a silent fallback
+// to the scalar or dense path cannot pass as coverage.
+func recordDeliveries(t *testing.T, g *graph.Graph, alg sa.Algorithm, script [][]int, seed int64, steps int, c observerCell) ([][]int, sa.Config) {
+	t.Helper()
+	eng, err := sim.New(g, alg, sim.Options{
+		Scheduler:    sched.NewScripted(script, true),
+		Seed:         seed,
+		Parallelism:  c.par,
+		Frontier:     c.frontier,
+		WordParallel: c.word,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if eng.WordActive() != c.word || (eng.FrontierLen() >= 0) != c.frontier {
+		t.Fatalf("%v: mode not engaged (word=%v, frontier len %d)", c, eng.WordActive(), eng.FrontierLen())
+	}
+	rec := &stepLog{}
+	eng.Observe(rec)
+	for s := 0; s < steps; s++ {
+		if err := eng.Step(); err != nil {
+			t.Fatal(err)
+		}
+		rec.endStep()
+	}
+	delivered := 0
+	for _, step := range rec.steps {
+		delivered += len(step)
+	}
+	if delivered == 0 {
+		t.Fatalf("%v: no deliveries, so the ordering checks would be vacuous", c)
+	}
+	return rec.steps, eng.Config().Clone()
+}
 
 // TestObserverCanonicalOrder is the regression test for the ConfigObserver
-// ordering contract: PR 2's engine fed observers in raw activation-list
+// ordering contract: an engine once fed observers in raw activation-list
 // order, so a scripted scheduler emitting an unsorted or duplicated list
 // leaked that order — and double-applied duplicated nodes' transitions —
-// into observer deliveries. The engine now canonicalizes A_t (ascending,
-// deduplicated) before staging, on the classic and sharded paths alike.
+// into observer deliveries. The engine canonicalizes A_t (ascending,
+// deduplicated) before staging, so in every execution mode both scripts
+// must deliver, step for step, exactly what the P=0 dense scalar engine
+// delivers on the canonical script.
 func TestObserverCanonicalOrder(t *testing.T) {
 	g, err := graph.Cycle(8)
 	if err != nil {
@@ -226,67 +302,26 @@ func TestObserverCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unsorted, duplicated script vs its canonical form: both runs must be
-	// indistinguishable — same configurations, same observer deliveries.
 	messy := [][]int{{5, 1, 3, 1, 5}, {7, 0, 2, 2}, {6, 6, 4}, {0, 1, 2, 3, 4, 5, 6, 7}}
 	canon := [][]int{{1, 3, 5}, {0, 2, 7}, {4, 6}, {0, 1, 2, 3, 4, 5, 6, 7}}
-	for _, par := range []int{0, 2} {
-		var recs [2]*applyRecorder
-		var cfgs [2]sa.Config
-		for i, script := range [][][]int{messy, canon} {
-			eng, err := sim.New(g, au, sim.Options{
-				Scheduler:   sched.NewScripted(script, true),
-				Seed:        3,
-				Parallelism: par,
-			})
-			if err != nil {
-				t.Fatal(err)
+	const seed, steps = 3, 24
+	want, wantCfg := recordDeliveries(t, g, au, canon, seed, steps, observerCell{})
+	for _, c := range observerCells(2) {
+		for name, script := range map[string][][]int{"messy": messy, "canon": canon} {
+			got, cfg := recordDeliveries(t, g, au, script, seed, steps, c)
+			if !cfg.Equal(wantCfg) {
+				t.Fatalf("%v/%s: configuration diverged from the P=0 dense scalar run", c, name)
 			}
-			defer eng.Close()
-			rec := &applyRecorder{}
-			eng.Observe(rec)
-			for s := 0; s < 24; s++ {
-				if err := eng.Step(); err != nil {
-					t.Fatal(err)
-				}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v/%s: observer deliveries differ:\ngot:  %v\nwant: %v", c, name, got, want)
 			}
-			recs[i] = rec
-			cfgs[i] = eng.Config().Clone()
-		}
-		if !cfgs[0].Equal(cfgs[1]) {
-			t.Fatalf("par=%d: messy and canonical scripts diverged", par)
-		}
-		if fmt.Sprint(recs[0].applies) != fmt.Sprint(recs[1].applies) {
-			t.Fatalf("par=%d: observer deliveries differ:\nmessy: %v\ncanon: %v", par, recs[0].applies, recs[1].applies)
 		}
 	}
 }
 
-// stepRecorder records per-step deliveries to assert the ascending/at-most-
-// once guarantee directly.
-type stepRecorder struct {
-	t       *testing.T
-	current []int
-}
-
-func (r *stepRecorder) Apply(v int, q sa.State) { r.current = append(r.current, v) }
-
-func (r *stepRecorder) checkStep() {
-	seen := map[int]bool{}
-	last := -1
-	for _, v := range r.current {
-		if seen[v] {
-			r.t.Fatalf("node %d delivered twice in one step: %v", v, r.current)
-		}
-		seen[v] = true
-		if v <= last {
-			r.t.Fatalf("deliveries not ascending: %v", r.current)
-		}
-		last = v
-	}
-	r.current = r.current[:0]
-}
-
+// TestObserverAscendingWithinStep pins the ascending, at-most-once delivery
+// guarantee within each step, and that every mode delivers the P=0 dense
+// scalar sequence.
 func TestObserverAscendingWithinStep(t *testing.T) {
 	g, err := graph.Cycle(10)
 	if err != nil {
@@ -297,23 +332,19 @@ func TestObserverAscendingWithinStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := [][]int{{9, 3, 7, 3}, {8, 8, 1, 0}, {2, 5, 4, 9, 0}}
-	for _, par := range []int{0, 3} {
-		eng, err := sim.New(g, au, sim.Options{
-			Scheduler:   sched.NewScripted(script, true),
-			Seed:        13,
-			Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		rec := &stepRecorder{t: t}
-		eng.Observe(rec)
-		for s := 0; s < 30; s++ {
-			if err := eng.Step(); err != nil {
-				t.Fatal(err)
+	const seed, steps = 13, 30
+	want, _ := recordDeliveries(t, g, au, script, seed, steps, observerCell{})
+	for _, c := range observerCells() {
+		got, _ := recordDeliveries(t, g, au, script, seed, steps, c)
+		for s, step := range got {
+			for i := 1; i < len(step); i++ {
+				if step[i] <= step[i-1] {
+					t.Fatalf("%v: step %d: deliveries not ascending or duplicated: %v", c, s, step)
+				}
 			}
-			rec.checkStep()
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: observer deliveries differ:\ngot:  %v\nwant: %v", c, got, want)
 		}
 	}
 }

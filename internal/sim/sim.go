@@ -10,6 +10,16 @@
 // receive each node state change so stabilization predicates are maintained
 // in O(|A_t|·Δ) per step rather than rescanned over the whole graph.
 //
+// Every step, in every execution mode, is one pipeline of three phases.
+// Select draws A_t, feeds round tracking and returns the evaluation list
+// (A_t, or A_t ∩ frontier). Stage evaluates δ for an ascending node list
+// within one node range against the immutable C_t into node-indexed scratch:
+// once over [0, n) on the engine's rng, or once per shard on a worker pool.
+// Apply writes the staged states through one helper that keeps the derived
+// word and frontier state current, delivering each change to the observer.
+// The modes below are parameters of these phases; the dense scalar inline
+// case is the reference the mode differentials compare against.
+//
 // Large single runs shard across cores: Options.Parallelism >= 1 partitions
 // the graph into contiguous node shards (internal/shard) and fans each
 // step's staging over a persistent worker pool, with transition coin tosses
@@ -22,6 +32,11 @@
 // activated nodes wholesale, so a step costs O(|A_t ∩ frontier|·Δ) rather
 // than O(|A_t|·Δ) while staying byte-identical to the dense run at every
 // parallelism.
+//
+// Algorithms whose state space fits in a machine word go word-parallel:
+// Options.WordParallel swaps stage's per-node signal and δ for a batch
+// kernel over one-word signals, whose goodness bit-plane certifies
+// stabilized steps — see word.go.
 //
 // The topology itself may churn mid-run: Options.Churn applies scripted or
 // stochastic graph.Delta mutations at step boundaries (cells die, divide
@@ -136,14 +151,15 @@ type ShardedObserver interface {
 
 // Engine drives one execution of an sa.Algorithm.
 type Engine struct {
-	g     *graph.Graph
-	alg   sa.Algorithm
-	sched sched.Scheduler
-	rng   *rand.Rand
+	g      *graph.Graph
+	alg    sa.Algorithm
+	sched  sched.Scheduler
+	sparse sched.SparseActivator // sched, when it offers the frontier fast path
+	rng    *rand.Rand
 
 	cfg     sa.Config
-	scratch sa.Config // per-step new states of the activated set
-	signal  sa.Signal
+	scratch sa.Config // staged next states, node-indexed: a stage over [lo, hi) fills scratch[lo:]
+	lane    lane      // the inline engine's staging lane, over rng
 	step    int
 	tracker *sched.RoundTracker
 	hooks   []Hook
@@ -171,7 +187,7 @@ type Engine struct {
 	seed   int64           // Options.Seed, retained for checkpointing
 
 	// stepAct/stepEval/stepChg are the current step's tallies, filled by the
-	// step bodies and folded into tally (and the tracer sample) once per step.
+	// step phases and folded into tally (and the tracer sample) once per step.
 	stepAct  int
 	stepEval int
 	stepChg  int
@@ -197,29 +213,35 @@ type frontierRuntime struct {
 	lastAllBut int
 }
 
+// lane is the scratch of one staging goroutine: a signal buffer, a coin-toss
+// stream and the tallies of its last phase. The inline engine stages on one
+// lane over the engine's rng; a sharded engine gives each pool worker a lane
+// whose stream is reseeded per (step, node).
+//
+// A worker's tallies are written only by that worker during a pool phase and
+// summed by the coordinator after it — the pool's channel handoffs order the
+// accesses — so counter aggregation costs O(P) adds per step, not per-node
+// atomics.
+type lane struct {
+	sig  sa.Signal
+	rng  *rand.Rand
+	seq  *randx.Seq      // rng's reseedable source; nil on the inline lane
+	coin *randx.Counting // draw counter between seq and rng; nil on the inline lane
+
+	settles uint64 // nodes the last stage settle-cleared
+	changes int    // interior changes the last applyInterior wrote
+}
+
 // parRuntime holds the sharded-execution state of an engine: the partition,
-// the persistent worker pool, per-shard staging buffers and per-worker
-// scratch (signal, reseedable rng). See Options.Parallelism.
+// the persistent worker pool, per-shard staging views and one lane per
+// worker. See Options.Parallelism.
 type parRuntime struct {
 	part *shard.Partition
 	pool *shard.Pool
-	seed int64
 
-	acts    [][]int           // per-shard activation views for the current step
-	actBufs [][]int           // backing buffers for acts when bucketing is needed
-	res     [][]sa.State      // per-shard staged next states, aligned with acts
-	seqs    []*randx.Seq      // per-worker reseedable coin-toss sources
-	coins   []*randx.Counting // per-worker draw counters wrapping seqs
-	rngs    []*rand.Rand      // per-worker rand.Rand over the counted seqs
-	sigs    []sa.Signal       // per-worker signal scratch
-
-	// chg and stl are per-shard tallies (changes applied by applyInterior,
-	// settle-promotions certified by stage). Each slot is written by one
-	// worker during its phase and summed by the coordinator after the pool
-	// phase completes — the pool's channel handoffs order the accesses — so
-	// counter aggregation costs O(P) adds per step, not per-node atomics.
-	chg []uint64
-	stl []uint64
+	acts  [][]int      // per-shard views of the step's evaluation list
+	res   [][]sa.State // per-shard staged next states, aligned with acts
+	lanes []lane       // per-worker staging lanes
 
 	shObs ShardedObserver // obs, when it supports concurrent interior delivery
 
@@ -385,8 +407,8 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		sched:   s,
 		rng:     rng,
 		cfg:     cfg,
-		scratch: make(sa.Config, 0, g.N()),
-		signal:  sa.NewSignal(alg.NumStates()),
+		scratch: make(sa.Config, g.N()),
+		lane:    lane{sig: sa.NewSignal(alg.NumStates()), rng: rng},
 		tracker: sched.NewRoundTracker(g.N()),
 		mx:      opts.Metrics,
 		tracer:  opts.Trace,
@@ -396,6 +418,7 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 	if e.mx == nil {
 		e.mx = &obs.Metrics{}
 	}
+	e.sparse, _ = s.(sched.SparseActivator)
 	if opts.Frontier {
 		if lp, ok := alg.(sa.SelfLooper); ok {
 			e.fr = &frontierRuntime{looper: lp, lastAllBut: -1}
@@ -408,80 +431,28 @@ func New(g *graph.Graph, alg sa.Algorithm, opts Options) (*Engine, error) {
 		part := shard.NewPartition(g, opts.Parallelism)
 		p := part.P()
 		pr := &parRuntime{
-			part:    part,
-			pool:    shard.NewPool(p),
-			seed:    opts.Seed,
-			acts:    make([][]int, p),
-			actBufs: make([][]int, p),
-			res:     make([][]sa.State, p),
-			seqs:    make([]*randx.Seq, p),
-			coins:   make([]*randx.Counting, p),
-			rngs:    make([]*rand.Rand, p),
-			sigs:    make([]sa.Signal, p),
-			chg:     make([]uint64, p),
-			stl:     make([]uint64, p),
+			part:  part,
+			pool:  shard.NewPool(p),
+			acts:  make([][]int, p),
+			res:   make([][]sa.State, p),
+			lanes: make([]lane, p),
 		}
-		for i := 0; i < p; i++ {
-			pr.seqs[i] = &randx.Seq{}
-			pr.coins[i] = randx.NewCounting(pr.seqs[i])
-			pr.rngs[i] = rand.New(pr.coins[i])
-			pr.sigs[i] = sa.NewSignal(alg.NumStates())
+		for i := range pr.lanes {
+			ln := &pr.lanes[i]
+			ln.sig = sa.NewSignal(alg.NumStates())
+			ln.seq = &randx.Seq{}
+			ln.coin = randx.NewCounting(ln.seq)
+			ln.rng = rand.New(ln.coin)
 		}
-		// The worker bodies read e.step and the staged buffers directly;
-		// both are written only by the coordinator between pool phases, and
-		// the pool's channel handoffs order those writes.
+		// The worker bodies read e.step, the partition and the staged
+		// buffers directly; all are written only by the coordinator between
+		// pool phases, and the pool's channel handoffs order those writes.
 		pr.stage = func(s int) {
-			acts := pr.acts[s]
-			res := pr.res[s][:0]
-			rng, seq := pr.rngs[s], pr.seqs[s]
-			sig := &pr.sigs[s]
-			var settles uint64
-			if fr := e.fr; fr != nil {
-				for _, v := range acts {
-					seq.Reseed(randx.NodeSeed(pr.seed, e.step, v))
-					e.SignalOf(v, sig)
-					q, settled := fr.evalNode(e, v, sig, rng)
-					res = append(res, q)
-					if settled {
-						// Settle-clear: only v's own (in-shard) bit is
-						// touched, and any invalidation by a changing
-						// neighbor happens in a later phase, so sets always
-						// win over clears.
-						fr.set.Remove(v)
-						settles++
-					}
-				}
-			} else {
-				for _, v := range acts {
-					seq.Reseed(randx.NodeSeed(pr.seed, e.step, v))
-					e.SignalOf(v, sig)
-					res = append(res, e.alg.Transition(e.cfg[v], *sig, rng))
-				}
-			}
-			pr.res[s] = res
-			pr.stl[s] = settles
+			lo, hi := pr.part.Range(s)
+			pr.res[s] = e.stage(&pr.lanes[s], pr.acts[s], s, lo, hi)
 		}
 		pr.applyInterior = func(s int) {
-			fr := e.fr
-			var changes uint64
-			for i, v := range pr.acts[s] {
-				if !pr.part.Interior(v) {
-					continue
-				}
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					changes++
-					if fr != nil {
-						// An interior node's whole neighborhood lives in its
-						// owner shard, so these dirty bits never race.
-						fr.invalidate(e.g, v)
-					}
-					if pr.shObs != nil {
-						pr.shObs.Apply(v, q)
-					}
-				}
-			}
-			pr.chg[s] = changes
+			pr.lanes[s].changes = e.applyList(pr.acts[s], pr.res[s], pr.part, true)
 		}
 		e.par = pr
 	}
@@ -523,12 +494,14 @@ func (fr *frontierRuntime) evalNode(e *Engine, v int, sig *sa.Signal, rng *rand.
 	return q, q == e.cfg[v] && fr.looper.SelfLoop(e.cfg[v], *sig)
 }
 
-// invalidate re-dirties node v and its neighbors: v's state changed, so the
-// settled certificates of everything sensing v are void.
-func (fr *frontierRuntime) invalidate(g *graph.Graph, v int) {
-	fr.set.Add(v)
-	for _, u := range g.Neighbors(v) {
-		fr.set.Add(u)
+// invalidate re-dirties node v and its neighbors on a frontier engine: v's
+// state or adjacency changed, so the settled certificates of everything
+// sensing v are void.
+func (e *Engine) invalidate(v int) {
+	set := e.fr.set
+	set.Add(v)
+	for _, u := range e.g.Neighbors(v) {
+		set.Add(u)
 	}
 }
 
@@ -593,13 +566,7 @@ func (e *Engine) SetState(v int, q sa.State) error {
 	if q < 0 || q >= e.alg.NumStates() {
 		return fmt.Errorf("sim: state %d out of range", q)
 	}
-	e.cfg[v] = q
-	if e.wr != nil {
-		e.wr.noteWrite(v, q)
-	}
-	if e.fr != nil {
-		e.fr.invalidate(e.g, v)
-	}
+	e.write(v, q)
 	if e.obs != nil {
 		e.obs.Apply(v, q)
 	}
@@ -621,15 +588,10 @@ func (e *Engine) InjectFaults(count int) []int {
 	e.publish()
 	hit := randx.PartialShuffle(&e.faultBuf, e.g.N(), count, e.rng)
 	for _, v := range hit {
-		e.cfg[v] = e.rng.Intn(e.alg.NumStates())
-		if e.wr != nil {
-			e.wr.noteWrite(v, e.cfg[v])
-		}
-		if e.fr != nil {
-			e.fr.invalidate(e.g, v)
-		}
+		q := e.rng.Intn(e.alg.NumStates())
+		e.write(v, q)
 		if e.obs != nil {
-			e.obs.Apply(v, e.cfg[v])
+			e.obs.Apply(v, q)
 		}
 	}
 	e.mx.Faults.Add(uint64(len(hit)))
@@ -672,23 +634,40 @@ func (e *Engine) stepOnce() error {
 		}
 	}
 	e.stepChg = 0
-	if e.fr != nil {
-		e.stepFrontier()
+	list := e.selectEval()
+	want := 0
+	if e.wr != nil {
+		want = e.certifiableLen() // before stage's settle-clears
+	}
+	var res []sa.State
+	if e.par != nil {
+		e.stageSharded(list)
 	} else {
-		activated := canonActivations(e.sched.Activations(e.step, e.g.N()), &e.actBuf)
-		e.stepAct, e.stepEval = len(activated), len(activated)
-		switch {
-		case e.wr != nil && e.par != nil:
-			e.stepShardedWord(activated, -1)
-		case e.wr != nil:
-			e.stepSequentialWord(activated)
-		case e.par != nil:
-			e.stepSharded(activated)
-		default:
-			e.stepSequential(activated)
+		res = e.stage(&e.lane, list, 0, 0, e.g.N())
+		e.tally.Settled += e.lane.settles
+	}
+	if wr := e.wr; wr != nil {
+		// The plane certifies only a step that refreshed every drifted bit.
+		wr.certified = len(list) == want && wr.slabsAllOnes()
+	}
+	switch {
+	case e.par != nil:
+		e.applySharded()
+	case e.wr != nil && e.wr.certified && e.wBatch != nil:
+		e.applyBatch(list, res)
+	default:
+		// The inline apply: ascending node order, one delivery per change.
+		// It is applyList without the shard filter, written out because the
+		// call is a measurable share of a one-node step.
+		for i, v := range list {
+			if q := res[i]; q != e.cfg[v] {
+				e.write(v, q)
+				e.stepChg++
+				if e.obs != nil {
+					e.obs.Apply(v, q)
+				}
+			}
 		}
-		e.tracker.Observe(activated)
-		e.lastActivated = activated
 	}
 	if e.wr != nil && e.wObs != nil {
 		// Delivered after every apply of the step, so a later Apply (fault
@@ -747,8 +726,8 @@ func (e *Engine) publish() {
 		e.tally.CoinDraws += e.coin.Take()
 	}
 	if e.par != nil {
-		for _, c := range e.par.coins {
-			e.tally.CoinDraws += c.Take()
+		for i := range e.par.lanes {
+			e.tally.CoinDraws += e.par.lanes[i].coin.Take()
 		}
 	}
 	e.tally.Publish(e.mx, e.tracker.Rounds(), e.FrontierLen())
@@ -764,187 +743,215 @@ func (e *Engine) Metrics() *obs.Metrics {
 // Tracer returns the attached step tracer, or nil.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// stepFrontier is the frontier-sparse step body: the scheduler's activation
-// set is intersected with the dirty frontier — via the scheduler's
-// SparseActivator fast path when it has one, by scanning the activation
-// list otherwise — and only the surviving nodes are evaluated. Settled
-// activated nodes are skipped wholesale; round tracking still counts the
-// full A_t, summarized in O(1) when the sparse path reports it as V or
-// V \ {v} instead of a list.
-func (e *Engine) stepFrontier() {
+// selectEval is the select phase of a step. It draws A_t from the scheduler,
+// feeds it to round tracking and LastActivated, and returns the evaluation
+// list in canonical order: A_t itself on a dense engine, A_t ∩ frontier on a
+// frontier engine — via the scheduler's SparseActivator fast path when it has
+// one (a full A_t summarized as V or V \ {v} is tracked in O(1)), by
+// scanning A_t otherwise.
+func (e *Engine) selectEval() []int {
 	fr := e.fr
 	n := e.g.N()
-	// The frontier occupancy before any of this step's settle-clears: the
-	// word path certifies its goodness plane only when the step evaluated
-	// the entire frontier (settled nodes' plane bits are valid by the
-	// settled invariant; unevaluated frontier nodes' are not).
-	frBefore := fr.set.Len()
-	var eval []int
-	fr.lastFull, fr.lastAllBut = false, -1
-	if sp, ok := e.sched.(sched.SparseActivator); ok {
-		raw, cov := sp.SparseActivations(e.step, n, fr.set)
-		eval = canonActivations(raw, &e.actBuf)
-		switch {
-		case cov.Full:
-			e.tracker.ObserveFull()
-			fr.lastFull = true
-			e.lastActivated = nil
-			e.stepAct = n
-		case cov.AllBut >= 0:
-			e.tracker.ObserveAllBut(cov.AllBut)
-			fr.lastAllBut = cov.AllBut
-			e.lastActivated = nil
-			e.stepAct = n - 1
-		default:
-			e.tracker.Observe(cov.List)
-			e.lastActivated = cov.List
-			e.stepAct = len(cov.List)
+	if fr != nil {
+		fr.lastFull, fr.lastAllBut = false, -1
+		if e.sparse != nil {
+			raw, cov := e.sparse.SparseActivations(e.step, n, fr.set)
+			list := canonActivations(raw, &e.actBuf)
+			switch {
+			case cov.Full:
+				e.tracker.ObserveFull()
+				fr.lastFull = true
+				e.lastActivated = nil
+				e.stepAct = n
+			case cov.AllBut >= 0:
+				e.tracker.ObserveAllBut(cov.AllBut)
+				fr.lastAllBut = cov.AllBut
+				e.lastActivated = nil
+				e.stepAct = n - 1
+			default:
+				e.tracker.Observe(cov.List)
+				e.lastActivated = cov.List
+				e.stepAct = len(cov.List)
+			}
+			e.stepEval = len(list)
+			return list
 		}
-	} else {
-		activated := canonActivations(e.sched.Activations(e.step, n), &e.actBuf)
-		buf := fr.evalBuf[:0]
+	}
+	activated := canonActivations(e.sched.Activations(e.step, n), &e.actBuf)
+	e.tracker.Observe(activated)
+	e.lastActivated = activated
+	e.stepAct = len(activated)
+	list := activated
+	if fr != nil {
+		list = fr.evalBuf[:0]
 		for _, v := range activated {
 			if fr.set.Contains(v) {
-				buf = append(buf, v)
+				list = append(list, v)
 			}
 		}
-		fr.evalBuf = buf
-		eval = buf
-		e.tracker.Observe(activated)
-		e.lastActivated = activated
-		e.stepAct = len(activated)
+		fr.evalBuf = list
 	}
-	e.stepEval = len(eval)
-	switch {
-	case e.wr != nil && e.par != nil:
-		e.stepShardedWord(eval, frBefore)
-	case e.wr != nil:
-		e.stepSequentialFrontierWord(eval, frBefore)
-	case e.par != nil:
-		e.stepShardedFrontier(eval)
-	default:
-		e.stepSequentialFrontier(eval)
-	}
+	e.stepEval = len(list)
+	return list
 }
 
-// stepSequentialFrontier stages the evaluation set's new states against C_t
-// (settle-certifying no-op nodes on the way), then applies the changes in
-// ascending node order, invalidating each changed node's neighborhood.
-func (e *Engine) stepSequentialFrontier(eval []int) {
+// certifiableLen is, on a word engine, the evaluation-list length at which a
+// step refreshes the goodness bit of every node whose signal may have
+// drifted: n when dense, the frontier occupancy before any of the step's
+// settle-clears when frontier-sparse (settled nodes' bits are valid by the
+// settled invariant; unevaluated frontier nodes' are not).
+func (e *Engine) certifiableLen() int {
+	if e.fr != nil {
+		return e.fr.set.Len()
+	}
+	return e.g.N()
+}
+
+// stage is the stage phase of a step for list — ascending nodes, all inside
+// [lo, hi) — on lane ln. It evaluates δ for every listed node against the
+// immutable C_t and returns the next states, staged in the node-indexed
+// scratch at [lo, lo+len(list)); ln.settles counts the nodes it
+// settle-cleared from the frontier. The inline engine stages [0, n) on its
+// own lane; each pool worker stages its shard s on its lane, reseeding the
+// stream per (step, node) so the coin tosses do not depend on execution
+// order.
+//
+// The word path evaluates on the kernel (wordRuntime.eval), where a next
+// state equal to the current one is the settled certificate. The scalar path
+// builds each signal and runs δ, fused with the certificate on a frontier
+// engine. Settle-clears touch only the node's own bit and precede every
+// invalidation of the apply phase, so a neighbor changing in this same step
+// re-dirties the node.
+func (e *Engine) stage(ln *lane, list []int, s, lo, hi int) []sa.State {
+	k := len(list)
+	res := e.scratch[lo : lo+k]
 	fr := e.fr
-	e.scratch = e.scratch[:0]
 	var settles uint64
-	for _, v := range eval {
-		e.SignalOf(v, &e.signal)
-		q, settled := fr.evalNode(e, v, &e.signal, e.rng)
-		e.scratch = append(e.scratch, q)
+	if e.wr != nil {
+		cur := e.wr.eval(e, list, s, lo, hi, res)
+		if fr != nil {
+			for i, v := range list {
+				if res[i] == cur[i] {
+					fr.set.Remove(v)
+					settles++
+				}
+			}
+		}
+		ln.settles = settles
+		return res
+	}
+	for i, v := range list {
+		if ln.seq != nil {
+			ln.seq.Reseed(randx.NodeSeed(e.seed, e.step, v))
+		}
+		e.SignalOf(v, &ln.sig)
+		if fr == nil {
+			res[i] = e.alg.Transition(e.cfg[v], ln.sig, ln.rng)
+			continue
+		}
+		q, settled := fr.evalNode(e, v, &ln.sig, ln.rng)
+		res[i] = q
 		if settled {
-			// Clears happen strictly before the apply loop's invalidation
-			// sets, so a neighbor changing in this same step re-dirties v.
 			fr.set.Remove(v)
 			settles++
 		}
 	}
-	e.tally.Settled += settles
-	for i, v := range eval {
-		q := e.scratch[i]
+	ln.settles = settles
+	return res
+}
+
+// stageSharded splits the ascending list into per-shard views — shards are
+// contiguous node ranges, so each view is a subslice — and stages every
+// shard on the worker pool.
+func (e *Engine) stageSharded(list []int) {
+	pr := e.par
+	for s := range pr.acts {
+		_, hi := pr.part.Range(s)
+		k := sort.SearchInts(list, hi)
+		pr.acts[s], list = list[:k], list[k:]
+	}
+	pr.pool.Run(pr.stage)
+	for i := range pr.lanes {
+		e.tally.Settled += pr.lanes[i].settles
+	}
+}
+
+// write sets node v to state q and keeps the derived state current: the
+// word runtime's self-word, and the frontier, where v's neighborhood must be
+// re-evaluated. Delivery to the observer is the caller's.
+func (e *Engine) write(v int, q sa.State) {
+	e.cfg[v] = q
+	if e.wr != nil {
+		e.wr.self[v] = 1 << uint(q)
+	}
+	if e.fr != nil {
+		e.invalidate(v)
+	}
+}
+
+// applyList writes the staged states res of list in list order, skipping
+// unchanged nodes and — when part is non-nil — nodes whose interior status
+// differs from interior, and delivers every change to the observer. It
+// returns the number of changes. Concurrent interior calls are safe: they
+// run only when the observer, if any, is a ShardedObserver.
+func (e *Engine) applyList(list []int, res []sa.State, part *shard.Partition, interior bool) int {
+	changes := 0
+	for i, v := range list {
+		if part != nil && part.Interior(v) != interior {
+			continue
+		}
+		q := res[i]
 		if q == e.cfg[v] {
 			continue
 		}
-		e.cfg[v] = q
-		e.stepChg++
-		fr.invalidate(e.g, v)
+		e.write(v, q)
+		changes++
 		if e.obs != nil {
 			e.obs.Apply(v, q)
 		}
 	}
+	return changes
 }
 
-// stepShardedFrontier is stepSharded over the evaluation set: staging
-// settle-clears own-shard bits, the interior merge invalidates own-shard
-// neighborhoods concurrently, and boundary updates invalidate cross-shard
-// through the coordinator.
-func (e *Engine) stepShardedFrontier(eval []int) {
-	pr := e.par
-	fr := e.fr
-	p := pr.part.P()
-
-	if len(eval) == e.g.N() {
-		// Every node is dirty and activated (the first steps of a run):
-		// the canonical full set buckets into the partition's contiguous
-		// ranges — alias them instead of copying.
-		for s := 0; s < p; s++ {
-			lo, hi := pr.part.Range(s)
-			pr.acts[s] = eval[lo:hi]
+// applyBatch is the apply phase of a certified inline word step with a
+// WordBatchObserver: the changes reach the observer in one batch instead of
+// one node at a time.
+func (e *Engine) applyBatch(list []int, res []sa.State) {
+	wr := e.wr
+	chg := wr.chg[:0]
+	for i, v := range list {
+		if q := res[i]; q != e.cfg[v] {
+			e.write(v, q)
+			chg = append(chg, v)
 		}
-	} else {
-		for s := 0; s < p; s++ {
-			pr.actBufs[s] = pr.actBufs[s][:0]
-		}
-		for _, v := range eval {
-			s := pr.part.ShardOf(v)
-			pr.actBufs[s] = append(pr.actBufs[s], v)
-		}
-		copy(pr.acts, pr.actBufs)
 	}
+	wr.chg = chg
+	e.stepChg += len(chg)
+	e.wBatch.ApplyWordBatch(chg, e.cfg)
+}
 
-	pr.pool.Run(pr.stage)
-	e.sumSettles()
-
+// applySharded is the apply phase of a sharded engine. With a plain
+// order-sensitive observer the whole merge runs on the coordinator: shards
+// ascend and their views ascend, so delivery is in ascending node order.
+// Otherwise interior nodes — whose whole neighborhood lives in their owner
+// shard, so neither their writes nor a ShardedObserver's counters race — are
+// merged concurrently, and boundary nodes through the coordinator.
+func (e *Engine) applySharded() {
+	pr := e.par
 	if e.obs != nil && pr.shObs == nil {
-		// Order-sensitive observer: sequential canonical merge (shards
-		// ascend and buckets ascend within shards).
-		for s := 0; s < p; s++ {
-			for i, v := range pr.acts[s] {
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					e.stepChg++
-					fr.invalidate(e.g, v)
-					e.obs.Apply(v, q)
-				}
-			}
+		for s, acts := range pr.acts {
+			e.stepChg += e.applyList(acts, pr.res[s], nil, false)
 		}
 		return
 	}
-
 	pr.pool.Run(pr.applyInterior)
-	e.sumInteriorChanges()
-	var boundary uint64
-	for s := 0; s < p; s++ {
-		for i, v := range pr.acts[s] {
-			if pr.part.Interior(v) {
-				continue
-			}
-			if q := pr.res[s][i]; q != e.cfg[v] {
-				e.cfg[v] = q
-				e.stepChg++
-				boundary++
-				fr.invalidate(e.g, v)
-				if e.obs != nil {
-					e.obs.Apply(v, q)
-				}
-			}
-		}
+	boundary := 0
+	for s, acts := range pr.acts {
+		e.stepChg += pr.lanes[s].changes
+		boundary += e.applyList(acts, pr.res[s], pr.part, false)
 	}
-	e.tally.BoundaryApplies += boundary
-}
-
-// sumSettles folds the per-shard settle tallies written by the stage phase
-// into the pending Settled count (O(P)).
-func (e *Engine) sumSettles() {
-	for _, n := range e.par.stl {
-		e.tally.Settled += n
-	}
-}
-
-// sumInteriorChanges folds the per-shard change tallies written by the
-// applyInterior phase into the step's change count (O(P)).
-func (e *Engine) sumInteriorChanges() {
-	var chg uint64
-	for _, n := range e.par.chg {
-		chg += n
-	}
-	e.stepChg += int(chg)
+	e.stepChg += boundary
+	e.tally.BoundaryApplies += uint64(boundary)
 }
 
 // canonActivations returns the activation set in canonical form: strictly
@@ -980,99 +987,6 @@ func canonActivations(activated []int, buf *[]int) []int {
 	return *buf
 }
 
-// stepSequential is the classic single-threaded step body: stage the
-// activation set's new states against C_t, then apply them in ascending
-// node order, feeding the observer.
-func (e *Engine) stepSequential(activated []int) {
-	e.scratch = e.scratch[:0]
-	for _, v := range activated {
-		e.SignalOf(v, &e.signal)
-		e.scratch = append(e.scratch, e.alg.Transition(e.cfg[v], e.signal, e.rng))
-	}
-	for i, v := range activated {
-		q := e.scratch[i]
-		if q == e.cfg[v] {
-			continue
-		}
-		e.cfg[v] = q
-		e.stepChg++
-		if e.obs != nil {
-			e.obs.Apply(v, q)
-		}
-	}
-}
-
-// stepSharded is the sharded step body: bucket the activation set by owner
-// shard, stage every shard's new states concurrently against the immutable
-// C_t (coin tosses from per-(step, node) streams, so the result is
-// independent of worker count and interleaving), then merge.
-//
-// The merge applies interior-node updates concurrently — an interior node's
-// whole neighborhood lives in its owner shard, so those writes (and a
-// ShardedObserver's counters) never race — and routes boundary-node updates
-// through the coordinator. With a plain order-sensitive observer the whole
-// merge runs on the coordinator in canonical ascending node order instead.
-func (e *Engine) stepSharded(activated []int) {
-	pr := e.par
-	p := pr.part.P()
-
-	if len(activated) == e.g.N() {
-		// Synchronous step: the canonical full set buckets into the
-		// partition's contiguous ranges — alias them instead of copying.
-		for s := 0; s < p; s++ {
-			lo, hi := pr.part.Range(s)
-			pr.acts[s] = activated[lo:hi]
-		}
-	} else {
-		for s := 0; s < p; s++ {
-			pr.actBufs[s] = pr.actBufs[s][:0]
-		}
-		for _, v := range activated {
-			s := pr.part.ShardOf(v)
-			pr.actBufs[s] = append(pr.actBufs[s], v)
-		}
-		copy(pr.acts, pr.actBufs)
-	}
-
-	pr.pool.Run(pr.stage)
-
-	if e.obs != nil && pr.shObs == nil {
-		// Order-sensitive observer: sequential canonical merge. Shards
-		// ascend and buckets ascend within shards, so this is ascending
-		// node order.
-		for s := 0; s < p; s++ {
-			for i, v := range pr.acts[s] {
-				if q := pr.res[s][i]; q != e.cfg[v] {
-					e.cfg[v] = q
-					e.stepChg++
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-		return
-	}
-
-	pr.pool.Run(pr.applyInterior)
-	e.sumInteriorChanges()
-	var boundary uint64
-	for s := 0; s < p; s++ {
-		for i, v := range pr.acts[s] {
-			if pr.part.Interior(v) {
-				continue
-			}
-			if q := pr.res[s][i]; q != e.cfg[v] {
-				e.cfg[v] = q
-				e.stepChg++
-				boundary++
-				if e.obs != nil {
-					e.obs.Apply(v, q)
-				}
-			}
-		}
-	}
-	e.tally.BoundaryApplies += boundary
-}
-
 // SignalOf computes the signal of node v under the current configuration
 // into sig (which is reset first).
 func (e *Engine) SignalOf(v int, sig *sa.Signal) {
@@ -1083,7 +997,7 @@ func (e *Engine) SignalOf(v int, sig *sa.Signal) {
 	}
 }
 
-// Step returns the number of steps executed so far (the current time t).
+// StepCount returns the number of steps executed so far (the current time t).
 func (e *Engine) StepCount() int { return e.step }
 
 // Rounds returns the number of completed rounds R(i) <= current time.
